@@ -55,21 +55,30 @@ def _bootstrap_confidence(
 ) -> float:
     """Fraction of value permutations with a smaller CUSUM spread.
 
-    The permutations are drawn exactly as the reference implementation
-    did — ``bootstraps`` sequential in-place shuffles of one work buffer,
-    so the RNG stream (and therefore every detected change point) is
-    unchanged — but the CUSUM spreads of all permutations are computed in
-    one vectorized batch instead of a Python loop. This test dominates
-    diagnosis latency (it runs per candidate split per metric), so the
-    batching is worth ~5x end-to-end.
+    The reference test shuffles one work buffer in place ``bootstraps``
+    times, so permutation ``i`` is the composition of the first ``i + 1``
+    shuffles. The same draws come from one ``rng.permuted`` call: row
+    ``i`` of the permuted index matrix is the ``i``-th shuffle, taken from
+    the generator in the same order as the sequential shuffles, and the
+    generator ends in the same state. An inclusive prefix scan then
+    composes the rows (``ceil(log2(bootstraps))`` flat ``take`` passes),
+    which rebuilds exactly the cumulative permutations — so every detected
+    change point is unchanged — and the CUSUM spreads of all permutations
+    are computed in one vectorized batch.
     """
     if spread == 0.0:
         return 0.0
-    work = values.copy()
-    permutations = np.empty((bootstraps, len(values)))
-    for i in range(bootstraps):
-        rng.shuffle(work)
-        permutations[i] = work
+    n = len(values)
+    order = rng.permuted(np.broadcast_to(np.arange(n), (bootstraps, n)), axis=1)
+    row_offsets = np.arange(bootstraps)[:, np.newaxis] * n
+    stride = 1
+    while stride < bootstraps:
+        # Hillis-Steele step: order[i] <- order[i - stride][order[i]].
+        order[stride:] = order[:-stride].ravel().take(
+            order[stride:] + row_offsets[:-stride]
+        )
+        stride *= 2
+    permutations = values[order]
     deviations = permutations - permutations.mean(axis=1, keepdims=True)
     tracks = np.cumsum(deviations, axis=1)
     spreads = tracks.max(axis=1) - tracks.min(axis=1)

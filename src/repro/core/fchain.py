@@ -44,7 +44,9 @@ from repro.core.prediction import MarkovPredictor
 from repro.core.propagation import ComponentReport
 from repro.core.selection import (
     detect_window_change_points,
+    history_error_references,
     select_abnormal_changes,
+    selection_ruled_out,
 )
 from repro.core.topology import (
     OnlineTopology,
@@ -530,6 +532,12 @@ class FChainSlave:
         CUSUM/bootstrap intermediates (the dominant cost) and the final
         selected changes, so the validation loop and repeated diagnoses
         of one violation skip the work entirely.
+
+        Before CUSUM runs, windows whose prediction errors never exceed
+        the margin over the history's routine error level are screened
+        out (:func:`~repro.core.selection.selection_ruled_out`): their
+        selection is provably empty, so ``[]`` is cached without paying
+        for change point detection.
         """
         from repro.obs.trace import NULL_SPAN
 
@@ -541,6 +549,18 @@ class FChainSlave:
             self._selection_cache.move_to_end(cache_key)
             span.count("selection_cache_hits", 1)
             return list(cached)
+
+        history_errors = errors[:split]
+        window_errors = errors[split:]
+        references = history_error_references(
+            history_errors, self.config.history_error_percentile
+        )
+        if selection_ruled_out(
+            raw, window_errors, references, self.config, full
+        ):
+            span.count("cusum_screened", 1)
+            self._cache_put(self._selection_cache, cache_key, [])
+            return []
 
         detected = None
         if len(raw) >= 2 * self.config.min_segment:
@@ -561,10 +581,11 @@ class FChainSlave:
             metric,
             self.config,
             seed=(self.seed, component),
-            errors=errors[split:],
-            history_errors=errors[:split],
+            errors=window_errors,
+            history_errors=history_errors,
             detected=detected,
             full_series=full,
+            history_references=references,
             span=span,
         )
         self._cache_put(self._selection_cache, cache_key, changes)

@@ -15,7 +15,7 @@ This module implements the heart of the FChain slave (paper Sec. II-B):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +133,75 @@ def history_error_reference(
     if len(finite) < 20:
         return 0.0
     return float(np.percentile(np.abs(finite), percentile))
+
+
+def history_error_references(
+    history_errors: np.ndarray, percentile: float
+) -> Dict[int, float]:
+    """:func:`history_error_reference` for both change directions.
+
+    Selection needs the reference of every surviving change point's
+    direction; computing the two once per window instead of once per
+    point avoids repeating a percentile over the full history.
+    """
+    return {
+        direction: history_error_reference(history_errors, direction, percentile)
+        for direction in (1, -1)
+    }
+
+
+#: Largest sample magnitude the pre-screen trusts the burst thresholds
+#: to stay finite for: far below float overflow for any window length.
+_SCREEN_MAX_MAGNITUDE = 1e100
+
+
+def selection_ruled_out(
+    raw: TimeSeries,
+    errors: np.ndarray,
+    history_references: Dict[int, float],
+    config: FChainConfig,
+    full_series: TimeSeries,
+) -> bool:
+    """Whether :func:`select_abnormal_changes` must return ``[]`` here.
+
+    Decided from the prediction errors alone, without CUSUM. Every
+    candidate's actual prediction error is a maximum over part of
+    ``errors`` (the raw window's errors), so it is at most ``M``, the
+    largest finite ``|error|`` in the window (0.0 when none is finite).
+    Its expected error is ``max(burst threshold, same-direction history
+    reference)``, at least ``min(history_references)``. When
+    ``M <= margin * min(history_references)`` the margin test therefore
+    rejects every candidate, whatever change points CUSUM would find.
+
+    Two conditions keep the argument exact: the margin must be
+    non-negative (multiplying by it must preserve order), and every burst
+    threshold the selector could compute must be finite — a NaN threshold
+    turns ``max(expected, reference)`` into NaN, and the margin test never
+    rejects against NaN. Thresholds read ``full_series`` within
+    ``burst_window`` of the raw window; when those samples are finite and
+    far from overflow, so is every threshold.
+
+    Args:
+        raw: The look-back window.
+        errors: Signed prediction errors aligned with ``raw``.
+        history_references: :func:`history_error_references` of the
+            history preceding ``raw``.
+        config: FChain configuration.
+        full_series: The series the burst thresholds are computed on.
+    """
+    margin = config.prediction_error_margin
+    if not margin >= 0.0:
+        return False
+    finite = errors[np.isfinite(errors)]
+    largest = float(np.abs(finite).max()) if len(finite) else 0.0
+    if not largest <= margin * min(history_references.values()):
+        return False
+    nearby = full_series.window(
+        raw.start - config.burst_window, raw.end + config.burst_window
+    ).values
+    if not np.isfinite(nearby).all():
+        return False
+    return len(nearby) == 0 or float(np.abs(nearby).max()) <= _SCREEN_MAX_MAGNITUDE
 
 
 def shift_persists(
@@ -387,6 +456,7 @@ def select_abnormal_changes(
     history_errors: Optional[np.ndarray] = None,
     detected: Optional[Tuple[TimeSeries, List[ChangePoint]]] = None,
     full_series: Optional[TimeSeries] = None,
+    history_references: Optional[Dict[int, float]] = None,
     span=NULL_SPAN,
 ) -> List[AbnormalChange]:
     """Run the full slave-side selection pipeline on one metric window.
@@ -415,6 +485,10 @@ def select_abnormal_changes(
             contiguously. Callers that already hold such a series (the
             slave's windowed store views) pass it to avoid an O(history)
             concatenation per metric.
+        history_references: Optional precomputed
+            :func:`history_error_references` of ``history_errors``
+            (callers that already hold them avoid recomputing); computed
+            here when omitted.
         span: Optional parent telemetry span; stage child spans (PAL
             outlier filter, burst thresholds, onset rollback) attach to
             it. Defaults to the shared no-op span.
@@ -474,16 +548,17 @@ def select_abnormal_changes(
         )
         burst_span.count("burst_thresholds_computed", len(burst_thresholds))
 
+    if history_references is None and history_errors is not None:
+        history_references = history_error_references(
+            history_errors, config.history_error_percentile
+        )
+
     abnormal: List[AbnormalChange] = []
     with span.child(STAGE_ROLLBACK) as rollback_span:
         for point, burst_threshold in zip(outliers, burst_thresholds):
             history_reference = 0.0
-            if history_errors is not None:
-                history_reference = history_error_reference(
-                    history_errors,
-                    point.direction,
-                    config.history_error_percentile,
-                )
+            if history_references is not None:
+                history_reference = history_references[point.direction]
             actual = actual_prediction_error(
                 errors, raw, point.time, direction=point.direction
             )

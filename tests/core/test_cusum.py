@@ -5,7 +5,8 @@ import pytest
 
 from repro.common.rng import spawn_rng
 from repro.common.timeseries import TimeSeries
-from repro.core.cusum import detect_change_points
+from repro.core import cusum
+from repro.core.cusum import _bootstrap_confidence, detect_change_points
 
 
 def series(values, start=0):
@@ -92,3 +93,69 @@ class TestDetection:
         values = [10.0] * 50 + [20.0] * 50
         points = detect_change_points(series(values), confidence=0.95, seed=1)
         assert all(p.confidence >= 0.95 for p in points)
+
+
+def _sequential_bootstrap_confidence(values, spread, bootstraps, rng):
+    """Frozen reference: ``bootstraps`` sequential in-place shuffles.
+
+    This is the original permutation test, kept only here as the oracle
+    for the one-call ``rng.permuted`` + prefix-scan implementation.
+    """
+    if spread == 0.0:
+        return 0.0
+    work = values.copy()
+    permutations = np.empty((bootstraps, len(values)))
+    for i in range(bootstraps):
+        rng.shuffle(work)
+        permutations[i] = work
+    deviations = permutations - permutations.mean(axis=1, keepdims=True)
+    tracks = np.cumsum(deviations, axis=1)
+    spreads = tracks.max(axis=1) - tracks.min(axis=1)
+    return int(np.count_nonzero(spreads < spread)) / bootstraps
+
+
+class TestBootstrapStream:
+    """The batched permutation draw must replay the sequential stream."""
+
+    @pytest.mark.parametrize("n", [10, 11, 37, 100, 250])
+    @pytest.mark.parametrize("bootstraps", [1, 2, 7, 120, 121])
+    def test_matches_sequential_shuffles(self, n, bootstraps):
+        values = spawn_rng("golden", n).normal(10, 3, n)
+        values[n // 2 :] += 2.0
+        deviations = np.cumsum(values - values.mean())
+        # Several spreads, so confidences other than 0 and 1 are covered.
+        for spread in (float(np.ptp(deviations)), 1.0, 1e-3):
+            oracle_rng = np.random.default_rng([n, bootstraps])
+            batched_rng = np.random.default_rng([n, bootstraps])
+            expected = _sequential_bootstrap_confidence(
+                values, spread, bootstraps, oracle_rng
+            )
+            actual = _bootstrap_confidence(
+                values, spread, bootstraps, batched_rng
+            )
+            assert actual == expected
+            assert (
+                batched_rng.bit_generator.state
+                == oracle_rng.bit_generator.state
+            )
+
+    def test_zero_spread_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert _bootstrap_confidence(np.ones(20), 0.0, 120, rng) == 0.0
+        assert rng.bit_generator.state == before
+
+    def test_detector_points_identical_on_fluctuating_series(
+        self, monkeypatch
+    ):
+        rng = spawn_rng("golden-fig3")
+        t = np.arange(300)
+        values = 50 + 20 * np.sin(t / 15) + rng.normal(0, 6, 300)
+        values[::37] *= 2.0
+        batched = detect_change_points(series(values), seed=3)
+        monkeypatch.setattr(
+            cusum, "_bootstrap_confidence", _sequential_bootstrap_confidence
+        )
+        sequential = detect_change_points(series(values), seed=3)
+        assert len(sequential) >= 4
+        assert batched == sequential
